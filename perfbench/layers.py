@@ -232,14 +232,14 @@ def per_layer_metrics(
     tracer: LayerTracer,
     *,
     index_memory_bytes: int,
-    snapshot_bytes_per_row: float | None,
-    serving: dict[str, Any] | None,
+    snapshot_bytes_per_row: float,
+    serving: dict[str, Any],
     overhead_pct: float,
 ) -> dict[str, tuple[float, str]]:
-    """Every per-layer metric this run exercised, as name -> (value, unit).
+    """Every per-layer metric, as name -> (value, unit).
 
-    A metric whose denominator is zero in this run (a layer the workload
-    never calls) is left out rather than written as 0.
+    A layer the workload never calls (no ADC on an HNSW workload, no
+    predicate on an unfiltered one) reads 0: no calls, no time.
     """
     t, c = tracer, tracer.counters
     executes = t.calls.get("core.execute", 0)
@@ -311,17 +311,15 @@ def per_layer_metrics(
         ),
         "bench.trace_overhead_pct": (overhead_pct, "%"),
     }
-    if executes:
-        for strategy in ("pre_filter", "post_filter", "index_scan", "brute_force"):
-            m[f"core.plans.{strategy}"] = (c[f"plans.{strategy}"], "count")
-    if serving:
-        m.update({
-            "serving.self_s": (serving["self_s"], "s"),
-            "serving.db_s": (serving["db_s"], "s"),
-            "serving.mean_batch_size": (serving["mean_batch_size"], "count"),
-            "serving.coalesced_fraction": (serving["coalesced_fraction"], "ratio"),
-            "serving.cache_hit_ratio": (serving["cache_hit_ratio"], "ratio"),
-            "observability.self_s": (serving["observability_s"], "s"),
-            "observability.spans_per_request": (serving["spans_per_request"], "count"),
-        })
-    return {k: (float(v), unit) for k, (v, unit) in m.items() if v is not None}
+    for strategy in ("pre_filter", "post_filter", "index_scan", "brute_force"):
+        m[f"core.plans.{strategy}"] = (c[f"plans.{strategy}"], "count")
+    m.update({
+        "serving.self_s": (serving["self_s"], "s"),
+        "serving.db_s": (serving["db_s"], "s"),
+        "serving.mean_batch_size": (serving["mean_batch_size"], "count"),
+        "serving.coalesced_fraction": (serving["coalesced_fraction"], "ratio"),
+        "serving.cache_hit_ratio": (serving["cache_hit_ratio"], "ratio"),
+        "observability.self_s": (serving["observability_s"], "s"),
+        "observability.spans_per_request": (serving["spans_per_request"], "count"),
+    })
+    return {k: (0.0 if v is None else float(v), unit) for k, (v, unit) in m.items()}

@@ -1,6 +1,6 @@
 """End-to-end and per-layer benchmark of the repro VDBMS.
 
-    python3 perfbench/run.py --workload graph_ann --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload graph_ann --seed 1 --seconds 12 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 Run from the root of a source checkout: the program is imported from
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     return run_all(args) if args.workload == "all" else run_one(args)

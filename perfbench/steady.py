@@ -1,6 +1,6 @@
 """Steadiness check: run each workload repeatedly in fresh processes.
 
-    python3 perfbench/steady.py --runs 10 --seconds 8
+    python3 perfbench/steady.py --runs 10 --seconds 12
     python3 perfbench/steady.py --runs 5 --workloads graph_ann,churn --seed0 101
 
 Run ``r`` uses seed ``seed0 + r`` and visits the workloads in forward

@@ -6,12 +6,11 @@ over the benchmark's own copy of the vectors (:class:`Mirror`), with
 predicates evaluated on the benchmark's own attribute arrays.  Nothing
 here calls ``repro.bench`` or uses a ``repro`` index as ground truth.
 
-A run is: a warm-up, at least ``SETUPS`` timed set-ups (the last one is
-kept), then whole rounds of the workload's fixed operation mix until
-``--seconds`` have passed.  Sub-second operations that an end-to-end
-metric rests on (batch passes, rebuilds, checkpoints, recoveries,
-front-door runs) happen many times per run and the metric is their
-median.
+A run is: a warm-up, ``Spec.setups`` timed set-ups (the last one is
+kept), then whole read rounds and write rounds (see :class:`Spec`) until
+``--seconds`` have passed.  Operations that an end-to-end metric rests
+on (batch calls, rebuilds, checkpoints, front-door runs) happen many
+times per run and the metric is their median.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from layers import LayerTracer, install, per_layer_metrics
 K = 10
 DIM = 32
 ALLOCATOR_WARM_UP_BYTES = 16 * 2**20
-#: Set-ups per run: at least SETUPS, and more (up to MAX_SETUPS) until
-#: SETUP_BUDGET_S seconds of set-up have been timed, so that cheap set-ups
-#: get a median over many samples.
-SETUPS, MAX_SETUPS, SETUP_BUDGET_S = 3, 15, 2.0
 #: Exact plans must equal the exact top-k; index plans meet a recall floor.
 EXACT_STRATEGIES = frozenset({"brute_force", "pre_filter"})
 #: Distance agreement between the program and the float64 oracle.
@@ -63,12 +58,23 @@ PREDICATES: dict[str, tuple[Any, Any]] = {
     "rating>=4": (Field("rating") >= 4, lambda a: a["rating"] >= 4),  # ~30%
     "price<800": (Field("price") < 800.0, lambda a: a["price"] < 800.0),  # ~80%
 }
-MIX = tuple(PREDICATES)
+#: Query i uses MIX[i % 7].  Each label has its own latency, so with six
+#: equal shares the median of a run's latencies would sit exactly on the
+#: border between the third and fourth slowest label and jump between
+#: them from run to run; with seven shares it falls inside one of them.
+MIX = ("none", "price<5", "category==7", "100<=price<200", "rating>=4", "price<800", "none")
 
 
 @dataclass(frozen=True)
 class Spec:
-    """One workload's make-up."""
+    """One workload's make-up.
+
+    Every workload runs the same two kinds of round, so that every
+    end-to-end metric is measured on every workload: read rounds (single
+    queries, a batch pass, front-door passes) for ``read_share`` of
+    ``--seconds``, then write rounds (single-row writes, a rebuild, fresh
+    queries, checkpoints) for the rest, at least ``min_write_rounds``.
+    """
 
     name: str
     rows: int
@@ -78,107 +84,130 @@ class Spec:
     queries: int
     attributes: bool
     recall_floor: float
-    metrics: tuple[str, ...]
+    read_share: float
+    min_write_rounds: int
+    #: Timed set-ups per run: cheap set-ups get a median over many.
+    setups: int
+    #: query_p50/p90 time the queries between single-row writes instead
+    #: of the read rounds' queries (churn: they are that workload's reads).
+    write_latency: bool = False
+    #: Reload checkpoints and check them against the mirror (cheap only
+    #: where the index rebuilt at load is cheap).
+    recover: bool = False
 
 
 SPECS = {
     "graph_ann": Spec(
-        "graph_ann", rows=2000, clusters=16, index="hnsw",
-        index_kwargs=dict(m=12, ef_construction=80, ef_search=16),
-        queries=2000, attributes=False, recall_floor=0.9,
-        metrics=("setup_s", "query_p50_ms", "query_p99_ms", "batch_qps",
-                 "recall_at_10", "peak_rss_mb"),
+        "graph_ann", rows=1200, clusters=16, index="hnsw",
+        index_kwargs=dict(m=12, ef_construction=48, ef_search=16),
+        queries=1000, attributes=False, recall_floor=0.9,
+        read_share=0.6, min_write_rounds=5, setups=3,
     ),
     "hybrid_filtered": Spec(
-        "hybrid_filtered", rows=20000, clusters=40, index="ivf_adc",
+        "hybrid_filtered", rows=10000, clusters=40, index="ivf_adc",
         index_kwargs=dict(nlist=64, nprobe=12, m=8, ks=16, rerank=128,
                           layout="blocked"),
         queries=480, attributes=True, recall_floor=0.75,
-        metrics=("setup_s", "query_p50_ms", "query_p99_ms", "batch_qps",
-                 "recall_at_10", "peak_rss_mb"),
+        read_share=0.6, min_write_rounds=5, setups=5,
     ),
     "churn": Spec(
         "churn", rows=4000, clusters=20, index="ivf_flat",
         index_kwargs=dict(nlist=32, nprobe=6),
         queries=240, attributes=True, recall_floor=0.85,
-        metrics=("setup_s", "query_p50_ms", "query_p99_ms", "recall_at_10",
-                 "peak_rss_mb", "write_ops_per_s", "rebuild_s", "checkpoint_s",
-                 "recovery_s"),
+        read_share=0.35, min_write_rounds=9, setups=15, write_latency=True,
+        recover=True,
     ),
     "serving": Spec(
-        "serving", rows=2000, clusters=16, index="hnsw",
+        "serving", rows=1500, clusters=16, index="hnsw",
         index_kwargs=dict(m=8, ef_construction=48, ef_search=16),
         queries=600, attributes=False, recall_floor=0.85,
-        metrics=("setup_s", "recall_at_10", "peak_rss_mb", "served_rps"),
+        read_share=0.7, min_write_rounds=3, setups=3,
     ),
 }
 
 UNITS = {
-    "setup_s": "s", "query_p50_ms": "ms", "query_p99_ms": "ms",
+    "setup_s": "s", "query_p50_ms": "ms", "query_p90_ms": "ms",
     "batch_qps": "queries/s", "recall_at_10": "fraction", "peak_rss_mb": "MB",
     "write_ops_per_s": "ops/s", "rebuild_s": "s", "checkpoint_s": "s",
-    "recovery_s": "s", "served_rps": "requests/s",
+    "served_rps": "requests/s",
 }
+#: Every workload reports every one of these (BENCHMARK.json's end_to_end).
+METRICS = tuple(UNITS)
 
-# churn: per round, WRITE_PAIRS x (insert, query, delete, query),
-# then rebuild, FRESH_QUERIES on the fresh index, a checkpoint, and every
-# RECOVER_EVERY rounds a recovery from that checkpoint.
-WRITE_PAIRS = 40
+# Write round: WRITE_PAIRS x (insert, query, delete, query), a rebuild,
+# FRESH_QUERIES on the fresh index, CHECKPOINTS successive save_database
+# calls; with Spec.recover, every RECOVER_EVERY rounds a recovery.
+WRITE_PAIRS = 60
+WRITE_CHUNK = 10
+#: Single queries per speed-scaled block of a read round, and queries
+#: per batch_search call.
+QUERY_CHUNK = 200
+BATCH_CHUNK = 100
 FRESH_QUERIES = 24
+CHECKPOINTS = 6
 PROBES = 8
 RECOVER_EVERY = 3
-MIN_RECOVERIES = 3
+#: Single queries per run that p90 needs (100 beyond it).
+MIN_QUERIES = 1000
 
 # serving: the open-loop trace and the tenants' contracts.
-TRACE_SIZE = 800
+TRACE_SIZE = 240
+SERVE_PASSES = 6
 HOT_QUERIES = 24
 HOT_SHARE = 0.4
 BASE_RATE, BURST_RATE = 800.0, 6000.0
-BURST = range(240, 640)
+BURST = range(60, 180)
 TENANTS = ("gold", "silver", "bronze")
 
 
 class Speedometer:
     """A fixed numpy + interpreter loop that measures the machine's speed.
 
-    The benchmark times it right before and right after every set-up and
-    every round, and scales the times taken in between by
-    ``REFERENCE_S / median(loop times)``: on a shared machine whose speed
-    drifts by tens of percent from minute to minute, the scaled times
-    stay comparable between runs.  A change to the program cannot move
-    the loop, which uses only numpy and the interpreter.
+    The benchmark times it right before and right after every timed
+    block -- a set-up, a chunk of QUERY_CHUNK queries or WRITE_CHUNK write
+    pairs, a batch call, a front-door pass, a rebuild, a checkpoint --
+    and scales the times taken in between by ``REFERENCE_S / mean(the two
+    loop times)`` (rates by its inverse).  On a shared machine whose
+    speed swings by up to 2x within seconds, the scaled times stay
+    comparable between runs.  A change to the program cannot move the
+    loop, which uses only numpy and the interpreter.
     """
 
-    REFERENCE_S = 0.0032
-    TIMES = ("setup_s", "query_s", "rebuild_s", "checkpoint_s", "recovery_s")
-    RATES = ("batch_qps", "write_rate", "served_rps")
+    ITERATIONS = 100
+    REFERENCE_S = 0.00107
+    TIMES = ("setup_s", "query_s", "insert_s", "delete_s", "rebuild_s", "checkpoint_s")
+    RATES = ("batch_qps", "served_rps")
 
     def __init__(self) -> None:
         rng = np.random.default_rng(12345)
         self.block = rng.standard_normal((64, DIM)).astype(np.float32)
         self.factors: list[float] = []
 
-    def loop_times(self, times: int = 3) -> list[float]:
+    def loop_time(self) -> float:
         block, query = self.block, self.block[0]
-        out = []
-        for _ in range(times):
-            start = _clock()
-            total = 0.0
-            for _ in range(300):
-                diff = block - query
-                dist = np.einsum("ij,ij->i", diff, diff)
-                order = np.argsort(dist, kind="stable")[:K]
-                total += sum(sorted({int(i): float(dist[i]) for i in order}.values()))
-            out.append(_clock() - start)
-        return out
+        start = _clock()
+        total = 0.0
+        for _ in range(self.ITERATIONS):
+            diff = block - query
+            dist = np.einsum("ij,ij->i", diff, diff)
+            order = np.argsort(dist, kind="stable")[:K]
+            total += sum(sorted({int(i): float(dist[i]) for i in order}.values()))
+        return _clock() - start
+
+    def loop_median(self, loops: int) -> float:
+        return statistics.median(self.loop_time() for _ in range(loops))
 
     @contextlib.contextmanager
-    def scaled(self, samples: "Samples"):
-        """Scale the time and rate samples taken inside the block."""
+    def scaled(self, samples: "Samples", loops: int = 1):
+        """Scale the time and rate samples taken inside the block.
+
+        Long blocks (set-ups, rebuilds) take the median of ``loops``
+        loop times on each side, so one disturbed loop cannot skew them.
+        """
         marks = {name: len(getattr(samples, name)) for name in self.TIMES + self.RATES}
-        before = self.loop_times()
+        before = self.loop_median(loops)
         yield
-        factor = self.REFERENCE_S / statistics.median(before + self.loop_times())
+        factor = self.REFERENCE_S / ((before + self.loop_median(loops)) / 2)
         self.factors.append(factor)
         for name, mark in marks.items():
             series = getattr(samples, name)
@@ -328,9 +357,9 @@ def strategy_of(plan_name: str) -> str:
 
 
 def quantiles(values: list[float]) -> tuple[float, float]:
-    """Median and p99 (needs at least 1000 samples for 10 beyond p99)."""
+    """Median and p90 (at least MIN_QUERIES samples: 100 beyond p90)."""
     ordered = np.sort(np.asarray(values))
-    return float(np.median(ordered)), float(np.quantile(ordered, 0.99))
+    return float(np.median(ordered)), float(np.quantile(ordered, 0.9))
 
 
 # ----------------------------------------------------------------- the run
@@ -342,10 +371,10 @@ class Samples:
     query_s: list[float] = field(default_factory=list)
     batch_qps: list[float] = field(default_factory=list)
     recall: list[float] = field(default_factory=list)
-    write_rate: list[float] = field(default_factory=list)
+    insert_s: list[float] = field(default_factory=list)
+    delete_s: list[float] = field(default_factory=list)
     rebuild_s: list[float] = field(default_factory=list)
     checkpoint_s: list[float] = field(default_factory=list)
-    recovery_s: list[float] = field(default_factory=list)
     served_rps: list[float] = field(default_factory=list)
 
 
@@ -359,6 +388,7 @@ class Run:
         self.seconds = seconds
         self.trace = trace
         self.work_dir = work_dir
+        self.checkpoint_dir = work_dir / "checkpoint"
         self.s = Samples()
         self.attempted = 0
         self.failed = 0
@@ -366,6 +396,9 @@ class Run:
         self.tracer = LayerTracer() if trace else None
         self.serving_passes: list[dict[str, float]] = []
         self.speed = Speedometer()
+        self.cursor = 0
+        self.probes: list[tuple[int, list]] = []
+        self.unrecovered = False
         self._generate()
 
     # ---------------------------------------------------------- inputs
@@ -381,30 +414,50 @@ class Run:
         self.queries = clustered(rng, self.centers, spec.queries)
         self.labels = [MIX[i % len(MIX)] if spec.attributes else "none"
                        for i in range(spec.queries)]
-        # Streams for churn writes and the serving trace.
+        # Streams for the writes and the serving trace.
         self.write_rng = np.random.default_rng([self.seed, 1])
-        self.trace_rng_seed = [self.seed, 2]
-        self._truth: dict[int, tuple] = {}
+        self.trace_plan = self.make_trace(np.random.default_rng([self.seed, 2]))
+        self._truth: dict[tuple[int, str], tuple] = {}
         self._truth_version = -1
 
-    def truth(self, qi: int) -> tuple[np.ndarray, np.ndarray]:
+    def truth(self, qi: int, label: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+        label = self.labels[qi] if label is None else label
         if self._truth_version != self.mirror.version:
             self._truth = {}
             self._truth_version = self.mirror.version
-        found = self._truth.get(qi)
+        found = self._truth.get((qi, label))
         if found is None:
-            found = self._truth[qi] = self.mirror.exact(self.queries[qi], self.labels[qi])
+            found = self._truth[qi, label] = self.mirror.exact(self.queries[qi], label)
         return found
 
     def predicate(self, qi: int):
         return PREDICATES[self.labels[qi]][0]
 
+    def make_trace(self, rng: np.random.Generator) -> list[tuple[str, int, float]]:
+        """(tenant, query index, arrival seconds) for the open-loop trace."""
+        now, cold, trace = 0.0, HOT_QUERIES, []
+        for i in range(TRACE_SIZE):
+            now += rng.exponential(1.0 / (BURST_RATE if i in BURST else BASE_RATE))
+            tenant = TENANTS[int(rng.integers(len(TENANTS)))]
+            if rng.random() < HOT_SHARE or cold >= len(self.labels):
+                qi = int(rng.integers(HOT_QUERIES))
+            else:
+                qi, cold = cold, cold + 1
+            trace.append((tenant, qi, now))
+        return trace
+
     # ---------------------------------------------------------- set-up
 
-    def build(self, rows: int | None = None) -> VectorDatabase:
+    def build(self, rows: int | None = None, shift: int = 0) -> VectorDatabase:
+        """A fresh database over the first ``rows`` base rows, inserted
+        starting from row ``shift`` and wrapping around."""
         rows = self.spec.rows if rows is None else rows
+        order = np.roll(np.arange(rows), -shift)
         db = VectorDatabase(dim=DIM)
-        db.insert_many(self.base[:rows], None if self.base_rows is None else self.base_rows[:rows])
+        db.insert_many(
+            self.base[order],
+            None if self.base_rows is None else [self.base_rows[i] for i in order],
+        )
         db.create_index("main", self.spec.index, **self.spec.index_kwargs)
         return db
 
@@ -413,23 +466,25 @@ class Run:
         # adaptive threshold; a long-running process gets there early.
         # Doing it here, untimed, keeps the per-row insert cost (a fresh
         # O(n) row-store copy per call) from depending on this process's
-        # allocation history: without it, write_ops_per_s moved by 30%
+        # allocation history: without it, the insert times moved by 30%
         # between runs depending on which regime a run happened to be in.
         # The block is never touched, so it adds nothing to peak_rss_mb.
         np.empty(ALLOCATOR_WARM_UP_BYTES, dtype=np.uint8)
         self.build(rows=max(256, self.spec.rows // 10))  # warm-up, untimed
-        while len(self.s.setup_s) < (1 if self.trace else SETUPS) or (
-            not self.trace
-            and len(self.s.setup_s) < MAX_SETUPS
-            and sum(self.s.setup_s) < SETUP_BUDGET_S
-        ):
+        # Each set-up inserts the same rows from another starting point:
+        # k-means converges in a number of iterations that depends on the
+        # order (12 to 23 on churn), so the median over the run's set-ups
+        # does not hang on one order.  The last set-up, which the run
+        # keeps, inserts in base order, so ids match the mirror.
+        setups = 1 if self.trace else self.spec.setups
+        for i in range(setups):
             self.db = None
             gc.collect()
             if self.trace:
                 self.tracer.on = True
-            with self.speed.scaled(self.s):
+            with self.speed.scaled(self.s, loops=3):
                 start = _clock()
-                self.db = self.build()
+                self.db = self.build(shift=(setups - 1 - i) * self.spec.rows // setups)
                 self.s.setup_s.append(_clock() - start)
             self.attempted += 1
         if self.trace:
@@ -445,14 +500,15 @@ class Run:
         self.attempted += 1
         return result, elapsed
 
-    def search(self, qi: int, where: str):
+    def search(self, qi: int, where: str, sample: bool = True):
         """One timed ``db.search``; checked; returns (hits, strategy)."""
         if self.tracer is not None:
             self.tracer.request += 1
         result, elapsed = self.timed(
             self.db.search, self.queries[qi], k=K, predicate=self.predicate(qi)
         )
-        self.s.query_s.append(elapsed)
+        if sample:
+            self.s.query_s.append(elapsed)
         strategy = strategy_of(result.stats.plan_name)
         recall = self.mirror.check(
             result.hits, self.queries[qi], self.labels[qi], self.truth(qi),
@@ -462,21 +518,48 @@ class Run:
             self.s.recall.append(recall)
         return result.hits, strategy
 
+    def _next(self) -> int:
+        qi = self.cursor % len(self.labels)
+        self.cursor += 1
+        return qi
+
+    # ---------------------------------------------------------- read round
+
+    def read_round(self, r: int) -> None:
+        """Every query singly, all of them in a batch pass, SERVE_PASSES front-door passes."""
+        singles = {}
+        for chunk in range(0, len(self.labels), QUERY_CHUNK):
+            with self.speed.scaled(self.s, loops=2):
+                for qi in range(chunk, min(chunk + QUERY_CHUNK, len(self.labels))):
+                    singles[qi] = self.search(
+                        qi, f"read round {r}", sample=not self.spec.write_latency
+                    )
+        self.batch_pass(singles)
+        for _ in range(SERVE_PASSES):
+            with self.speed.scaled(self.s):
+                self.serve_pass(self.trace_plan)
+
     def batch_pass(self, singles: dict[int, tuple[list, str]]) -> None:
-        """Every query through ``db.batch_search``, one call per predicate."""
+        """Every query through ``db.batch_search``: one call per predicate
+        and BATCH_CHUNK queries, each call its own speed-scaled block."""
         groups: dict[str, list[int]] = {}
         for qi, label in enumerate(self.labels):
             groups.setdefault(label, []).append(qi)
-        spent = 0.0
-        for label, members in groups.items():
+        calls = [
+            (label, members[i:i + BATCH_CHUNK])
+            for label, members in groups.items()
+            for i in range(0, len(members), BATCH_CHUNK)
+        ]
+        for label, members in calls:
             if self.tracer is not None:
                 self.tracer.request += 1
-            start = _clock()
-            results = self.db.batch_search(
-                self.queries[members], k=K, predicate=PREDICATES[label][0]
-            )
-            elapsed = _clock() - start
-            spent += elapsed
+            with self.speed.scaled(self.s):
+                start = _clock()
+                results = self.db.batch_search(
+                    self.queries[members], k=K, predicate=PREDICATES[label][0]
+                )
+                elapsed = _clock() - start
+                self.s.batch_qps.append(len(members) / elapsed)
             self.busy += elapsed
             self.attempted += len(members)
             for qi, result in zip(members, results):
@@ -494,64 +577,126 @@ class Run:
                     h.id for h in single_hits
                 ]:
                     raise Violation(f"{where}: batch answer differs from the single-query answer")
-        self.s.batch_qps.append(len(self.labels) / spent)
 
-    # ---------------------------------------------------------- rounds
+    def serve_pass(self, plan: list[tuple[str, int, float]], sample: bool = True) -> None:
+        """One fresh front door serving the trace ``plan``; checked."""
+        tenants = [
+            TenantSpec(name, qps=1e6, burst=1e6, max_inflight=64, max_queue=100_000,
+                       priority=p, cache_capacity=256)
+            for p, name in enumerate(TENANTS)
+        ]
+        requests = [
+            ServingRequest(tenant, self.queries[qi], k=K, arrival_seconds=t)
+            for tenant, qi, t in plan
+        ]
+        self.db.set_observability(Observability())
+        door = ServingFrontDoor(self.db, tenants, workers=2, coalesce_max=16,
+                                telemetry=True, window_seconds=0.02)
+        gc.collect()
+        t = self.tracer
+        if t is not None:
+            t.request += 1
+            obs_before, spans_before = t.layer_self("observability"), t.counters["obs.spans"]
+        start = _clock()
+        responses = door.run(requests)
+        elapsed = _clock() - start
+        self.db.set_observability(None)
+        self.busy += elapsed
+        self.attempted += len(requests)
+        if sample:
+            self.s.served_rps.append(len(requests) / elapsed)
+        report = door.report().totals
+        if t is not None and t.on:
+            duration, own, children = t.kept["serving.run"][-1]
+            self.serving_passes.append({
+                "self_s": own,
+                "db_s": children.get("core", 0.0) + children.get("index", 0.0),
+                "observability_s": t.layer_self("observability") - obs_before,
+                "spans": t.counters["obs.spans"] - spans_before,
+                **{key: report[key] for key in
+                   ("mean_batch_size", "coalesced_fraction", "cache_hits", "requests")},
+            })
+        self.check_served(plan, requests, responses, report)
 
-    def round_queries(self, r: int) -> None:
-        """graph_ann / hybrid_filtered: every query singly, then one batch pass."""
-        singles = {qi: self.search(qi, f"round {r}") for qi in range(len(self.labels))}
-        self.batch_pass(singles)
+    def check_served(self, plan, requests, responses, report) -> None:
+        if len(responses) != len(requests) or {id(r.request) for r in responses} != {
+            id(r) for r in requests
+        }:
+            raise Violation("serving: not exactly one response per request")
+        position = {id(r): i for i, r in enumerate(requests)}
+        executed: dict[tuple[str, int], list] = {}
+        for response in sorted(responses, key=lambda r: position[id(r.request)]):
+            tenant, qi, _ = plan[position[id(response.request)]]
+            where = f"serving request {tenant}/{qi} ({response.status})"
+            if response.status not in ("ok", "cache_hit"):
+                self.failed += 1
+                continue
+            self.s.recall.append(self.mirror.check(
+                response.hits, self.queries[qi], "none", self.truth(qi, "none"),
+                exact=False, where=where,
+            ))
+            answer = [(h.id, h.distance) for h in response.hits]
+            # The cache holds the latest completed execution of the query;
+            # executions of one query in different coalesced batches may
+            # differ (approximate search), so a hit must equal one of them.
+            if response.status == "ok":
+                executed.setdefault((tenant, qi), []).append(answer)
+            elif answer not in executed.get((tenant, qi), []):
+                raise Violation(f"{where}: cache hit equals no execution of that query")
+        if not (report["mean_batch_size"] > 1 and report["cache_hits"] > 0):
+            raise Violation("serving: trace did not coalesce or hit the caches")
 
-    def _write_pair(self, cursor: list[int]) -> float:
+    # ---------------------------------------------------------- write round
+
+    def write_round(self, r: int) -> None:
+        """Single-row writes, a rebuild, fresh queries, checkpoints."""
+        for _ in range(WRITE_PAIRS // WRITE_CHUNK):
+            with self.speed.scaled(self.s):
+                for _ in range(WRITE_CHUNK):
+                    self._write_pair()
+        gc.collect()
+        with self.speed.scaled(self.s, loops=3):
+            _, elapsed = self.timed(self.db.rebuild_indexes)
+            self.s.rebuild_s.append(elapsed)
+        self.probes = []
+        with self.speed.scaled(self.s):
+            for j in range(FRESH_QUERIES):
+                qi = self._next()
+                hits, _ = self.search(qi, f"fresh round {r}", sample=False)
+                if j < PROBES:
+                    self.probes.append((qi, hits))
+        gc.collect()
+        for _ in range(CHECKPOINTS):
+            with self.speed.scaled(self.s):
+                _, elapsed = self.timed(persist.save_database, self.db, self.checkpoint_dir)
+                self.s.checkpoint_s.append(elapsed)
+        self.unrecovered = True
+        if self.spec.recover and r % RECOVER_EVERY == RECOVER_EVERY - 1:
+            self.recover()
+
+    def _write_pair(self) -> None:
         """One single-row insert and one delete, each followed by a query."""
-        spent = 0.0
+        sample = self.spec.write_latency
         vector = clustered(self.write_rng, self.centers, 1)[0]
         row = None
         if self.spec.attributes:
             row = rows_of(attributes(self.write_rng, 1), 1)[0]
         item, elapsed = self.timed(self.db.insert, vector, row)
-        spent += elapsed
+        self.s.insert_s.append(elapsed)
         if item != self.mirror.insert(vector, row):
             raise Violation(f"insert returned id {item}, expected {self.mirror.n - 1}")
-        self.search(self._next(cursor), "stale")
+        self.search(self._next(), "stale", sample)
         live = np.flatnonzero(self.mirror.alive[: self.mirror.n])
         victim = int(live[self.write_rng.integers(live.size)])
         _, elapsed = self.timed(self.db.delete, victim)
-        spent += elapsed
+        self.s.delete_s.append(elapsed)
         self.mirror.delete(victim)
-        self.search(self._next(cursor), "stale")
-        return spent
-
-    def _next(self, cursor: list[int]) -> int:
-        qi = cursor[0] % len(self.labels)
-        cursor[0] += 1
-        return qi
-
-    def round_churn(self, r: int) -> None:
-        spent = sum(self._write_pair(self.cursor) for _ in range(WRITE_PAIRS))
-        self.s.write_rate.append(2 * WRITE_PAIRS / spent)
-        gc.collect()
-        _, elapsed = self.timed(self.db.rebuild_indexes)
-        self.s.rebuild_s.append(elapsed)
-        self.probes = []
-        for j in range(FRESH_QUERIES):
-            qi = self._next(self.cursor)
-            hits, _ = self.search(qi, f"fresh round {r}")
-            if j < PROBES:
-                self.probes.append((qi, hits))
-        gc.collect()
-        _, elapsed = self.timed(persist.save_database, self.db, self.checkpoint_dir)
-        self.s.checkpoint_s.append(elapsed)
-        self.unrecovered = True
-        if r % RECOVER_EVERY == RECOVER_EVERY - 1:
-            self.recover()
+        self.search(self._next(), "stale", sample)
 
     def recover(self) -> None:
         """Reload the last checkpoint and check it against the mirror."""
         gc.collect()
-        db, elapsed = self.timed(persist.load_database, self.checkpoint_dir)
-        self.s.recovery_s.append(elapsed)
+        db, _ = self.timed(persist.load_database, self.checkpoint_dir)
         m, n = self.mirror, self.mirror.n
         col = db.collection
         if col.capacity != n or not np.array_equal(col.alive, m.alive[:n]):
@@ -568,147 +713,62 @@ class Run:
         self.db = db
         self.unrecovered = False
 
-    # ---------------------------------------------------------- serving
-
-    def make_trace(self) -> list[tuple[str, int, float]]:
-        """(tenant, query index, arrival seconds) for the open-loop trace."""
-        rng = np.random.default_rng(self.trace_rng_seed)
-        now, cold, trace = 0.0, HOT_QUERIES, []
-        for i in range(TRACE_SIZE):
-            now += rng.exponential(1.0 / (BURST_RATE if i in BURST else BASE_RATE))
-            tenant = TENANTS[int(rng.integers(len(TENANTS)))]
-            if rng.random() < HOT_SHARE or cold >= len(self.labels):
-                qi = int(rng.integers(HOT_QUERIES))
-            else:
-                qi, cold = cold, cold + 1
-            trace.append((tenant, qi, now))
-        return trace
-
-    def serve_pass(self) -> None:
-        """One fresh front door serving the whole trace; checked."""
-        tenants = [
-            TenantSpec(name, qps=1e6, burst=1e6, max_inflight=64, max_queue=100_000,
-                       priority=p, cache_capacity=256)
-            for p, name in enumerate(TENANTS)
-        ]
-        requests = [
-            ServingRequest(tenant, self.queries[qi], k=K, arrival_seconds=t)
-            for tenant, qi, t in self.trace_plan
-        ]
-        self.db.set_observability(Observability())
-        door = ServingFrontDoor(self.db, tenants, workers=2, coalesce_max=16,
-                                telemetry=True, window_seconds=0.02)
-        gc.collect()
-        t = self.tracer
-        if t is not None:
-            t.request += 1
-            obs_before, spans_before = t.layer_self("observability"), t.counters["obs.spans"]
-        start = _clock()
-        responses = door.run(requests)
-        elapsed = _clock() - start
-        self.db.set_observability(None)
-        self.busy += elapsed
-        self.attempted += len(requests)
-        self.s.served_rps.append(len(requests) / elapsed)
-        report = door.report().totals
-        if t is not None and t.on:
-            duration, own, children = t.kept["serving.run"][-1]
-            self.serving_passes.append({
-                "self_s": own,
-                "db_s": children.get("core", 0.0) + children.get("index", 0.0),
-                "observability_s": t.layer_self("observability") - obs_before,
-                "spans": t.counters["obs.spans"] - spans_before,
-                **{key: report[key] for key in
-                   ("mean_batch_size", "coalesced_fraction", "cache_hits", "requests")},
-            })
-        self.check_served(requests, responses, report)
-
-    def check_served(self, requests, responses, report) -> None:
-        if len(responses) != len(requests) or {id(r.request) for r in responses} != {
-            id(r) for r in requests
-        }:
-            raise Violation("serving: not exactly one response per request")
-        position = {id(r): i for i, r in enumerate(requests)}
-        executed: dict[tuple[str, int], list] = {}
-        for response in sorted(responses, key=lambda r: position[id(r.request)]):
-            tenant, qi, _ = self.trace_plan[position[id(response.request)]]
-            where = f"serving request {tenant}/{qi} ({response.status})"
-            if response.status not in ("ok", "cache_hit"):
-                self.failed += 1
-                continue
-            self.s.recall.append(self.mirror.check(
-                response.hits, self.queries[qi], "none", self.truth(qi),
-                exact=False, where=where,
-            ))
-            answer = [(h.id, h.distance) for h in response.hits]
-            # The cache holds the latest completed execution of the query;
-            # executions of one query in different coalesced batches may
-            # differ (approximate search), so a hit must equal one of them.
-            if response.status == "ok":
-                executed.setdefault((tenant, qi), []).append(answer)
-            elif answer not in executed.get((tenant, qi), []):
-                raise Violation(f"{where}: cache hit equals no execution of that query")
-        if not (report["mean_batch_size"] > 1 and report["cache_hits"] > 0):
-            raise Violation("serving: trace did not coalesce or hit the caches")
-
     # ---------------------------------------------------------- running
 
-    def round(self, r: int) -> None:
-        if self.spec.name == "churn":
-            self.round_churn(r)
-        elif self.spec.name == "serving":
-            self.serve_pass()
-        else:
-            self.round_queries(r)
-
     def warm_up(self) -> None:
-        if self.spec.name == "serving":
-            self.trace_plan = self.make_trace()
-            for qi in range(HOT_QUERIES):
-                self.db.search(self.queries[qi], k=K)
-            return
-        if self.spec.name == "churn":
-            self.cursor = [0]
-            self.checkpoint_dir = self.work_dir / "checkpoint"
-            self.probes = []
-            self.unrecovered = False
         for qi in range(min(len(self.labels), 2 * len(MIX))):
             self.db.search(self.queries[qi], k=K, predicate=self.predicate(qi))
         self.db.batch_search(self.queries[:8], k=K)
+        self.serve_pass(self.trace_plan, sample=False)
 
-    def rounds_for(self, seconds: float, at_least: int = 1) -> int:
+    def rounds(self, kind, seconds: float, at_least: int) -> int:
+        """Whole rounds of ``kind`` until ``seconds`` have passed."""
         deadline = _clock() + seconds
         done = 0
         while done < at_least or _clock() < deadline:
-            with self.speed.scaled(self.s):
-                self.round(self.next_round)
-            self.next_round += 1
+            self.repeat(kind, 1)
             done += 1
         return done
 
+    def repeat(self, kind, times: int) -> None:
+        for _ in range(times):
+            kind(self.next_round)
+            self.next_round += 1
+
     def measure(self) -> float:
         """Run the rounds; returns the tracing overhead in percent (traced runs)."""
+        spec = self.spec
         self.next_round = 0
         self.warm_up()
         gc.collect()
+        min_reads = 1 if spec.write_latency else math.ceil(MIN_QUERIES / spec.queries)
+        read_s = self.seconds * spec.read_share
+        write_s = self.seconds - read_s
         if not self.trace:
-            self.rounds_for(self.seconds)
+            self.rounds(self.read_round, read_s, min_reads)
+            self.rounds(self.write_round, write_s, spec.min_write_rounds)
             overhead = math.nan
         else:
-            busy0 = self.busy
-            rounds = self.rounds_for(self.seconds / 2)
-            untraced = self.busy - busy0
-            self.tracer.on = True
-            busy1 = self.busy
-            for _ in range(rounds):
-                self.round(self.next_round)
-                self.next_round += 1
-            traced = self.busy - busy1
+            # Each kind of round untraced, then as many again traced, so
+            # both halves see the same database state (reads come before
+            # the first delete, as in an untraced run).
+            untraced = traced = 0.0
+            for kind, seconds, at_least in ((self.read_round, read_s / 2, 1),
+                                            (self.write_round, write_s / 2, 1)):
+                busy = self.busy
+                done = self.rounds(kind, seconds, at_least)
+                untraced += self.busy - busy
+                self.tracer.on = True
+                busy = self.busy
+                self.repeat(kind, done)
+                traced += self.busy - busy
+                self.tracer.on = False
             overhead = (traced / untraced - 1.0) * 100.0
-        if self.spec.name == "churn":
-            while self.unrecovered or len(self.s.recovery_s) < MIN_RECOVERIES:
-                with self.speed.scaled(self.s):
-                    self.recover()
+        if spec.recover and self.unrecovered:
+            # The last checkpoint is reloaded and checked too (traced).
+            if self.trace:
+                self.tracer.on = True
+            self.recover()
         if self.trace:
             self.tracer.on = False
         self.validate_floors()
@@ -720,54 +780,46 @@ class Run:
             raise Violation(
                 f"mean recall@{K} {recall:.3f} is below the floor {self.spec.recall_floor}"
             )
+        if len(self.s.query_s) < MIN_QUERIES and not self.trace:
+            raise Violation(f"only {len(self.s.query_s)} queries: p90 needs {MIN_QUERIES}")
 
     def end_to_end(self) -> dict[str, tuple[float, str]]:
         s = self.s
-        values: dict[str, float] = {
+        p50, p90 = quantiles(s.query_s)
+        values = {
             "setup_s": statistics.median(s.setup_s),
+            "query_p50_ms": p50 * 1e3,
+            "query_p90_ms": p90 * 1e3,
+            "batch_qps": statistics.median(s.batch_qps),
             "recall_at_10": statistics.fmean(s.recall),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            # Medians of single-call times: one context switch inside a
+            # 50-microsecond call cannot move them.
+            "write_ops_per_s": 2.0 / (statistics.median(s.insert_s)
+                                      + statistics.median(s.delete_s)),
+            "rebuild_s": statistics.median(s.rebuild_s),
+            "checkpoint_s": statistics.median(s.checkpoint_s),
+            "served_rps": statistics.median(s.served_rps),
         }
-        if s.query_s:
-            if len(s.query_s) < 1000:
-                raise Violation(f"only {len(s.query_s)} queries: p99 needs 1000")
-            p50, p99 = quantiles(s.query_s)
-            values["query_p50_ms"] = p50 * 1e3
-            values["query_p99_ms"] = p99 * 1e3
-        medians = {
-            "batch_qps": s.batch_qps, "write_ops_per_s": s.write_rate,
-            "rebuild_s": s.rebuild_s, "checkpoint_s": s.checkpoint_s,
-            "recovery_s": s.recovery_s, "served_rps": s.served_rps,
-        }
-        for name, series in medians.items():
-            if series:
-                values[name] = statistics.median(series)
-        missing = set(self.spec.metrics) - set(values)
-        if missing:
-            raise Violation(f"workload produced no samples for {sorted(missing)}")
-        return {name: (values[name], UNITS[name]) for name in self.spec.metrics}
+        return {name: (values[name], UNITS[name]) for name in METRICS}
 
     def per_layer(self, overhead: float) -> dict[str, tuple[float, str]]:
-        serving = None
-        if self.serving_passes:
-            passes = self.serving_passes
-            last = passes[-1]
-            serving = {
-                "self_s": statistics.median(p["self_s"] for p in passes),
-                "db_s": statistics.median(p["db_s"] for p in passes),
-                "observability_s": statistics.median(p["observability_s"] for p in passes),
-                "spans_per_request": last["spans"] / last["requests"],
-                "mean_batch_size": last["mean_batch_size"],
-                "coalesced_fraction": last["coalesced_fraction"],
-                "cache_hit_ratio": last["cache_hits"] / last["requests"],
-            }
-        snapshot = None
-        if self.spec.name == "churn":
-            size = sum(p.stat().st_size for p in self.checkpoint_dir.iterdir() if p.is_file())
-            snapshot = size / self.db.collection.capacity
+        passes = self.serving_passes
+        last = passes[-1]
+        serving = {
+            "self_s": statistics.median(p["self_s"] for p in passes),
+            "db_s": statistics.median(p["db_s"] for p in passes),
+            "observability_s": statistics.median(p["observability_s"] for p in passes),
+            "spans_per_request": last["spans"] / last["requests"],
+            "mean_batch_size": last["mean_batch_size"],
+            "coalesced_fraction": last["coalesced_fraction"],
+            "cache_hit_ratio": last["cache_hits"] / last["requests"],
+        }
+        size = sum(p.stat().st_size for p in self.checkpoint_dir.iterdir() if p.is_file())
         memory = sum(index.memory_bytes() for index in self.db.indexes.values())
         return per_layer_metrics(
-            self.tracer, index_memory_bytes=memory, snapshot_bytes_per_row=snapshot,
+            self.tracer, index_memory_bytes=memory,
+            snapshot_bytes_per_row=size / self.db.collection.capacity,
             serving=serving, overhead_pct=overhead,
         )
 
@@ -778,7 +830,7 @@ class Run:
         overhead = self.measure()
         metrics = self.per_layer(overhead) if self.trace else self.end_to_end()
         print(f"{self.spec.name:16s} machine speed factor"
-              f" {statistics.median(self.speed.factors):.4f} over {len(self.speed.factors)} rounds")
+              f" {statistics.median(self.speed.factors):.4f} over {len(self.speed.factors)} blocks")
         if self.trace:
             self.tracer.write_spans(
                 self.work_dir.parent / f"spans-{self.spec.name}-seed{self.seed}.jsonl"
